@@ -5,63 +5,35 @@ import (
 	"sort"
 )
 
-// Batched concurrent deletions.
+// Batched deletions.
 //
 // The paper repairs one deletion at a time; under churn they arrive in
-// bursts. DeleteBatch overlaps the repairs of *independent* damaged
-// regions — vertex-disjoint sets of records — so that k disjoint
-// deletions heal in roughly the rounds of one, while repairs whose
-// regions collide serialize exactly as the sequential semantics
-// demand. The reference semantics is core.Engine.DeleteBatch: apply
-// the deletions one at a time in canonical (ascending-ID) order. The
+// bursts. DeleteBatch submits the whole burst to the open-loop engine
+// in canonical (ascending-ID) order and drains it: footprint admission
+// (deleteRegion + regionBlocked, see engine.go) runs the repairs of
+// disjoint regions concurrently, so k disjoint deletions heal in
+// roughly the rounds of one, while a repair whose region overlaps an
+// earlier member's waits for it and is launched by that repair's
+// finishing leader. The reference semantics is core.Engine.DeleteBatch
+// — apply the deletions one at a time in ascending order — and the
 // differential tests assert the two produce identical healed graphs.
-//
-// The batch runs in two stages:
-//
-//  1. Claim phase (read-only). Every member's would-be damage walk runs
-//     in claim mode: the records the repair would cut, damage, or walk
-//     through are claimed for the member's epoch, mutating nothing.
-//     Two walks colliding on a shared record, or a walk ascending into
-//     another member's dying avatar, report a conflict pair to the
-//     batch coordinator in-band. Links *between* two members (a shared
-//     G′ edge or a tree link between their avatars) are conflicts
-//     detected at notification time, since each member's neighbors
-//     know both ends died.
-//  2. Wave execution. Conflict pairs partition the batch into groups
-//     (connected components); members of distinct groups have disjoint
-//     regions, and a group's own repairs keep its region closed — a
-//     merge only rewires the group's fragments — so groups stay
-//     disjoint for the batch's whole lifetime. Each group's members
-//     execute in ascending order — the younger repair of every
-//     conflicting pair serialized behind the older exactly as the
-//     canonical order requires — but the groups PIPELINE through the
-//     open-loop engine: the moment a group's current repair proves
-//     itself complete in-band (the last merge-instruction ack), its
-//     leader hands off to the group's next member by sending that
-//     deletion's death notifications itself, one per notified member,
-//     while other groups' repairs are still running. There is no
-//     driver barrier between waves anymore; the serialization depth
-//     (the largest group) is still reported as Waves.
 
 // BatchStats reports the measured cost of one DeleteBatch call.
 type BatchStats struct {
-	// Batch is the number of deletions; Groups the number of
-	// independent conflict groups they formed; Waves the serialization
-	// depth (the largest group); Conflicts the conflict pairs found.
+	// Batch is the number of deletions. Groups, Waves and Conflicts
+	// describe how the members' pre-batch footprints overlap: Conflicts
+	// counts the overlapping member pairs, Groups the connected
+	// components they form, and Waves the size of the largest one.
 	Batch     int
 	Groups    int
 	Waves     int
 	Conflicts int
-	// ClaimMessages and ClaimRounds are the share of the totals spent
-	// on the claim phase. ClaimAborted reports that conflict discovery
-	// stopped early: the batch was proven to be one conflict group, so
-	// the remaining claim traffic was dropped undelivered and the batch
-	// fell back to fully sequential waves.
+	// ClaimMessages is always 0: conflicts are found driver-side by
+	// footprint admission, with no in-band claim traffic. The field is
+	// kept so existing readers still compile.
 	ClaimMessages int
-	ClaimRounds   int
-	ClaimAborted  bool
 	// Messages, Rounds, TotalWords, MaxWords and MaxSentByNode cover
-	// the whole batch, claim phase included.
+	// the whole batch.
 	Messages      int
 	Rounds        int
 	TotalWords    int
@@ -75,7 +47,7 @@ type BatchStats struct {
 	CongestionRounds int
 	// ElectionRounds / SyncRounds and the corresponding message counts
 	// expose the batch's in-band coordination cost: leader-election
-	// tournaments and termination-detection traffic across every wave.
+	// tournaments and termination-detection traffic across every repair.
 	ElectionRounds   int
 	SyncRounds       int
 	ElectionMessages int
@@ -86,10 +58,12 @@ type BatchStats struct {
 func (s *Simulation) LastBatch() BatchStats { return s.lastBatch }
 
 // DeleteBatch removes every listed processor and repairs the damage,
-// overlapping the repairs of independent regions. It is behaviorally
-// equivalent to deleting the nodes one at a time in ascending order; a
-// batch of one is exactly Delete. Validation is atomic: either the
-// whole batch is applied or no node is touched.
+// overlapping the repairs of independent regions. It is Delete for k
+// nodes at once: the members are submitted in ascending order and the
+// engine is drained, so the result equals deleting them one at a time
+// in ascending order, and a batch of one is exactly Delete (its cost
+// lands in LastRecovery too). Validation is atomic: either the whole
+// batch is applied or no node is touched.
 func (s *Simulation) DeleteBatch(vs []NodeID) error {
 	if err := s.requireIdle("delete batch"); err != nil {
 		return err
@@ -99,78 +73,38 @@ func (s *Simulation) DeleteBatch(vs []NodeID) error {
 		return err
 	}
 	defer s.beginBlocking()()
-	switch len(batch) {
-	case 0:
+	if len(batch) == 0 {
 		s.lastBatch = BatchStats{}
 		return nil
-	case 1:
-		if err := s.Delete(batch[0]); err != nil {
-			return err
-		}
-		rs := s.last
-		s.lastBatch = BatchStats{
-			Batch: 1, Groups: 1, Waves: 1,
-			Messages: rs.Messages, Rounds: rs.Rounds,
-			TotalWords: rs.TotalWords, MaxWords: rs.MaxWords,
-			MaxSentByNode:    rs.MaxSentByNode,
-			QueuedWords:      rs.QueuedWords,
-			MaxEdgeBacklog:   rs.MaxEdgeBacklog,
-			CongestionRounds: rs.CongestionRounds,
-			ElectionRounds:   rs.ElectionRounds,
-			SyncRounds:       rs.SyncRounds,
-			ElectionMessages: rs.ElectionMessages,
-			SyncMessages:     rs.SyncMessages,
-		}
-		s.emit(Event{Kind: EventBatchDone, Batch: s.lastBatch})
-		return nil
 	}
 
-	s.net.ResetStats()
-	conflicts, claimAborted, err := s.claimPhase(batch)
-	if err != nil {
-		return fmt.Errorf("dist: delete batch: claim phase: %w", err)
+	regions := make([]map[NodeID]struct{}, len(batch))
+	for i, v := range batch {
+		regions[i] = s.deleteRegion(v)
 	}
-	claimStats := s.net.Stats()
-
+	conflicts := make(map[[2]NodeID]struct{})
+	for i := range batch {
+		for j := i + 1; j < len(batch); j++ {
+			if overlap(regions[i], regions[j]) {
+				conflicts[[2]NodeID{batch[i], batch[j]}] = struct{}{}
+			}
+		}
+	}
 	groups := groupBatch(batch, conflicts)
 	waves := 0
 	for _, g := range groups {
-		if len(g) > waves {
-			waves = len(g)
-		}
-	}
-	// Execute through the open-loop engine: each group becomes a chain
-	// of deletions, every member waiting on the in-band completion of
-	// its predecessor and launched by that repair's finishing leader
-	// (leader-to-leader handoff). Chains of different groups pipeline
-	// independently — no driver barrier between waves.
-	submitRound := s.net.Round()
-	for _, g := range groups {
-		for i, v := range g {
-			po := &pendingOp{
-				op: Op{Kind: OpDelete, V: v}, submitRound: submitRound,
-				chain: true, after: noNode,
-			}
-			if i > 0 {
-				po.after = g[i-1]
-			}
-			s.pending = append(s.pending, po)
-		}
-	}
-	s.admit()
-	if err := s.Drain(); err != nil {
-		return fmt.Errorf("dist: delete batch: %w", err)
+		waves = max(waves, len(g))
 	}
 
-	st := s.net.Stats()
+	st, err := s.drainDeletes(batch)
+	if err != nil {
+		return fmt.Errorf("dist: delete batch: %w", err)
+	}
 	s.lastBatch = BatchStats{
 		Batch:            len(batch),
 		Groups:           len(groups),
 		Waves:            waves,
 		Conflicts:        len(conflicts),
-		ClaimMessages:    claimStats.Messages,
-		ClaimRounds:      claimStats.Rounds,
-		ClaimAborted:     claimAborted,
 		Messages:         st.Messages,
 		Rounds:           st.Rounds,
 		TotalWords:       st.TotalWords,
@@ -202,158 +136,6 @@ func (s *Simulation) validateBatch(vs []NodeID) ([]NodeID, error) {
 		}
 	}
 	return batch, nil
-}
-
-// claimPhase runs the read-only conflict discovery: mark every member
-// dying, notify every affected processor, let the notified set elect
-// the batch coordinator by knockout tournament, launch every member's
-// claim walks, and collect the conflict pairs the collisions report.
-// The claim marks and election state are transient; the batch
-// synchronizer clears them (and the coordinator scratch) before
-// execution begins — the paper's zero-word timer convention.
-//
-// The coordinator is NOT announced by the driver: the affected
-// processors — dying members included — elect the smallest ID among
-// themselves over a will-laid BT (msgClaimElect/Champ/Coord), and
-// claim processing is buffered until the winner is known. Dying
-// members answer their notifications with direct conflict reports, so
-// every conflict pair reaches the coordinator in-band; its union-find
-// over the K members computes the early-abort decision — the batch has
-// become one conflict group, every remaining claim message is moot —
-// which the synchronizer only enacts (dropping the undelivered
-// traffic) when the coordinator flags it. On a pathological burst
-// whose members are pairwise adjacent the driver-visible adjacency
-// alone decides this before a single claim message is sent.
-func (s *Simulation) claimPhase(batch []NodeID) (conflicts map[[2]NodeID]struct{}, aborted bool, err error) {
-	inBatch := make(map[NodeID]struct{}, len(batch))
-	for _, v := range batch {
-		inBatch[v] = struct{}{}
-		s.procs[v].dying = true
-	}
-
-	// The union of every member's physical neighborhood — the claim
-	// phase's notified set — with, per target, the members it must
-	// probe for (ascending, since batch is sorted).
-	affected := make(map[NodeID][]NodeID)
-	for _, v := range batch {
-		for x := range s.affectedBy(v) {
-			affected[x] = append(affected[x], v)
-		}
-	}
-	union := make([]NodeID, 0, len(affected))
-	for x := range affected {
-		union = append(union, x)
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-
-	defer func() {
-		for _, v := range batch {
-			if p, ok := s.procs[v]; ok {
-				p.dying = false
-			}
-		}
-		for _, p := range s.claimers.take() {
-			p.claims = nil
-		}
-		for _, x := range union {
-			if p, ok := s.procs[x]; ok {
-				p.claimEl = nil
-			}
-		}
-	}()
-
-	conflicts = make(map[[2]NodeID]struct{})
-	addConflict := func(a, b NodeID) {
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		conflicts[[2]NodeID{a, b}] = struct{}{}
-	}
-	// Direct member-member conflicts are adjacency, known the moment
-	// the notifications are drawn up (each member's neighbors know both
-	// ends died); the driver uses them for the no-traffic fast path,
-	// and the dying members re-derive them in-band for the coordinator.
-	for x, vs := range affected {
-		if _, member := inBatch[x]; member {
-			for _, v := range vs {
-				addConflict(x, v)
-			}
-		}
-	}
-	oneGroup := func() bool { return len(groupBatch(batch, conflicts)) == 1 }
-	if s.claimAbort && oneGroup() {
-		// Adjacency alone already chains the whole batch together; skip
-		// the claim traffic entirely.
-		return conflicts, true, nil
-	}
-	if len(union) == 0 {
-		// Every member is isolated: nothing to probe, no conflicts
-		// beyond the direct ones (of which there are none).
-		return conflicts, false, nil
-	}
-
-	// Lay the election BT over the notified set in descending ID order
-	// (the same will convention as BT_v) and deliver, per target, its
-	// tree slot plus one claim notification per probing member. The
-	// tournament winner — the smallest notified ID — becomes the
-	// coordinator; the driver knows who that will be (it laid the
-	// tree), which is where it later reads the conflicts back.
-	coord := union[0]
-	s.layBT(union, func(x, parent, left, right NodeID) {
-		s.net.Send(x, x, msgClaimElect{
-			BTParent: parent, BTLeft: left, BTRight: right, K: len(batch),
-		}, wordsClaimElect)
-		for _, v := range affected[x] {
-			s.net.Send(x, x, msgClaimDeath{V: v}, wordsClaimDeath)
-		}
-	})
-	if !s.claimAbort {
-		if err := s.run(); err != nil {
-			return nil, false, err
-		}
-		s.foldCoordConflicts(coord, addConflict)
-		return conflicts, false, nil
-	}
-
-	// Step manually so the synchronizer can enact the coordinator's
-	// abort between rounds. The decision itself is computed in-band:
-	// the coordinator's union-find flags `decided` the moment the
-	// reported pairs union all K members. Parallel delivery is
-	// round-identical to sequential, so the abort round — and with it
-	// the batch's stats — is the same in both modes.
-	bound := s.roundBound()
-	for rounds := 0; !s.netQuiet(); rounds++ {
-		if rounds >= bound {
-			return nil, false, fmt.Errorf("claim discovery not quiescent after %d rounds", bound)
-		}
-		s.step()
-		if cp := s.procs[coord]; cp.batch != nil && cp.batch.decided {
-			// The abort drops the audit layer's standing ticks along with
-			// the moot claim traffic; re-arm them or netQuiet drifts.
-			s.net.DropPending()
-			s.reArmAuditTicks()
-			aborted = true
-			break
-		}
-	}
-	s.foldCoordConflicts(coord, addConflict)
-	s.drainPhys() // claim walks log no edits; drained for symmetry with run
-	return conflicts, aborted, nil
-}
-
-// foldCoordConflicts merges the batch coordinator's accumulated
-// conflict reports into the synchronizer's set and clears the scratch
-// so nothing leaks into a later batch's discovery.
-func (s *Simulation) foldCoordConflicts(coord NodeID, addConflict func(a, b NodeID)) {
-	if cp := s.procs[coord]; cp.batch != nil {
-		for pair := range cp.batch.conflicts {
-			addConflict(pair[0], pair[1])
-		}
-		cp.batch = nil
-	}
 }
 
 // groupBatch partitions the batch into conflict groups (connected

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -288,13 +289,10 @@ func TestDisjointBatchRoundScaling(t *testing.T) {
 		if bs.Waves != 1 {
 			t.Errorf("k=%d: %d waves, want 1", k, bs.Waves)
 		}
-		// The claim phase now pays for its coordinator election in-band
-		// (2·floor(log2 u) rounds over the union of the notified sets,
-		// which grows with k), so the throughput claim is about the
-		// execution rounds: repairs of disjoint regions must overlap.
-		if exec := bs.Rounds - bs.ClaimRounds; exec > 2*single {
-			t.Errorf("k=%d: batch execution took %d rounds (of %d total, %d claim), want <= 2x single deletion (%d): disjoint repairs must overlap",
-				k, exec, bs.Rounds, bs.ClaimRounds, single)
+		// Repairs of disjoint regions must overlap.
+		if exec := bs.Rounds; exec > 2*single {
+			t.Errorf("k=%d: batch took %d rounds, want <= 2x single deletion (%d): disjoint repairs must overlap",
+				k, exec, single)
 		}
 		if !s.Physical().Equal(e.Physical()) {
 			t.Fatalf("k=%d: healed graphs diverge", k)
@@ -333,6 +331,57 @@ func TestCollidingBatchSerializes(t *testing.T) {
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeleteBatchIsSubmitDrain pins DeleteBatch to its definition: the
+// same deletions submitted in ascending order to the open-loop engine
+// and drained on a twin must leave identical physical graphs and G′
+// and cost exactly the same messages and rounds — on a hub-plus-rays
+// burst whose footprints all overlap and on disjoint stars whose
+// footprints are independent.
+func TestDeleteBatchIsSubmitDrain(t *testing.T) {
+	stars, hubs := disjointStars(4, 8)
+	for _, tc := range []struct {
+		name  string
+		g0    *graph.Graph
+		batch []NodeID
+	}{
+		{"hub+rays", graph.Star(16), []NodeID{2, 0, 1}},
+		{"disjoint-stars", stars, []NodeID{hubs[3], hubs[1], hubs[0], hubs[2]}},
+	} {
+		a := NewSimulation(tc.g0)
+		b := NewSimulation(tc.g0)
+		if err := a.DeleteBatch(tc.batch); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		asc := append([]NodeID(nil), tc.batch...)
+		sort.Slice(asc, func(i, j int) bool { return asc[i] < asc[j] })
+		ops := make([]Op, len(asc))
+		for i, v := range asc {
+			ops[i] = Op{Kind: OpDelete, V: v}
+		}
+		b.net.ResetStats()
+		if err := b.Submit(ops...); err != nil {
+			t.Fatalf("%s: submit: %v", tc.name, err)
+		}
+		if err := b.Drain(); err != nil {
+			t.Fatalf("%s: drain: %v", tc.name, err)
+		}
+		bs, st := a.LastBatch(), b.net.Stats()
+		if bs.Messages != st.Messages || bs.Rounds != st.Rounds {
+			t.Errorf("%s: DeleteBatch cost %d msgs / %d rounds, submit+drain %d / %d",
+				tc.name, bs.Messages, bs.Rounds, st.Messages, st.Rounds)
+		}
+		if !a.Physical().Equal(b.Physical()) {
+			t.Errorf("%s: physical graphs diverge", tc.name)
+		}
+		if !a.GPrime().Equal(b.GPrime()) {
+			t.Errorf("%s: G′ diverges", tc.name)
+		}
+		if err := a.Verify(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -292,8 +292,8 @@ func corruptWithChurn(t *testing.T, s *Simulation, mode CorruptMode, crng, rng *
 // injection mode must be detected by the central checkers — the full
 // Verify, and VerifyDelta once the victim is in the touched set. This
 // is the ground truth the audit's distributed detection mirrors, and
-// it covers the engine-state modes (claim marks, pending-op
-// footprints, Lamport clocks) the older record-corruption table in
+// it covers the engine-state modes (in-flight footprints, Lamport
+// clocks) the older record-corruption table in
 // verify_delta_test does not reach.
 func TestCorruptionCaughtWithoutAudit(t *testing.T) {
 	for _, mode := range CorruptModes {
@@ -358,6 +358,10 @@ func FuzzStateCorruption(f *testing.F) {
 		f.Add([]byte{1, 7, 1, 11, 2, 3, 3, byte(i), 1, 5, 0, 9})
 	}
 	f.Add([]byte{3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3, 8, 3, 9, 3, 10})
+	// Every mode again, each followed by a delete or insert, so repairs
+	// race churn that lands inside the heal window.
+	f.Add([]byte{3, 0, 1, 3, 3, 1, 0, 2, 3, 2, 2, 5, 3, 3, 0, 7, 3, 4, 1, 9,
+		3, 5, 0, 4, 3, 6, 2, 1, 3, 7, 0, 6, 3, 8, 1, 2, 3, 9, 0, 3, 3, 10, 2, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			t.Skip("schedule too long")

@@ -60,12 +60,11 @@
 // (Delete = Submit + Drain) preserving the original semantics and
 // stats.
 //
-// Deletions arriving in bursts run through DeleteBatch, which overlaps
-// the repairs of independent damaged regions: every message carries its
-// repair's epoch, a read-only claim phase — its coordinator elected
-// in-band by the same knockout tournament — detects colliding regions,
-// and only conflicting repairs serialize (see batch.go). A batch of
-// one is exactly Delete.
+// Deletions arriving in bursts run through DeleteBatch, which submits
+// the burst in ascending order and drains the engine: every message
+// carries its repair's epoch, so repairs of disjoint footprints run
+// concurrently and only overlapping ones serialize (see batch.go). A
+// batch of one is exactly Delete.
 package dist
 
 import (
@@ -138,10 +137,6 @@ type Simulation struct {
 	physMult map[graph.Edge]int
 	dirty    *dirtyList
 
-	// claimers tracks processors holding transient claim marks during a
-	// batch's conflict-discovery phase (see batch.go).
-	claimers *dirtyList
-
 	// touchers tracks processors whose records changed since the last
 	// verification, feeding the incremental VerifyDelta.
 	touchers *dirtyList
@@ -150,12 +145,10 @@ type Simulation struct {
 	// minCap is the smallest positive cap ever configured on any layer
 	// (global, per-edge, per-node), sizing the quiescence bound's
 	// congestion slack; spread paces the leader's instruction bursts
-	// under a finite cap; claimAbort lets a batch's claim phase stop
-	// early once the whole batch is known to be one conflict group.
-	bandwidth  int
-	minCap     int
-	spread     bool
-	claimAbort bool
+	// under a finite cap.
+	bandwidth int
+	minCap    int
+	spread    bool
 
 	parallel  bool
 	last      RecoveryStats
@@ -253,12 +246,10 @@ func NewSimulationOn(g0 *graph.Graph, net transport.Transport) *Simulation {
 		procs:  make(map[NodeID]*processor, g0.NumNodes()),
 	}
 	s.initPhys(g0)
-	s.claimers = &dirtyList{}
 	s.touchers = &dirtyList{}
 	s.done = &doneList{}
 	s.inflight = make(map[NodeID]*flight)
 	s.spread = true
-	s.claimAbort = true
 	s.boundDirty = true
 	for _, v := range g0.Nodes() {
 		s.addProcessor(v)
@@ -307,7 +298,6 @@ func netAs[T any](d transport.Driver) (T, bool) {
 func (s *Simulation) addProcessor(v NodeID) {
 	p := newProcessor(v)
 	p.dirty = s.dirty
-	p.claimers = s.claimers
 	p.touchers = s.touchers
 	p.done = s.done
 	p.spread = s.spread
@@ -395,13 +385,6 @@ func (s *Simulation) SetSpread(on bool) {
 		p.spread = on
 	}
 }
-
-// SetClaimAbort toggles the batched-deletion claim phase's early
-// abort (default on): once conflict discovery proves the whole batch
-// is one conflict group, the remaining claim traffic is moot — the
-// batch falls back to fully sequential waves either way — so the
-// synchronizer drops it instead of delivering it.
-func (s *Simulation) SetClaimAbort(on bool) { s.claimAbort = on }
 
 // Alive reports whether processor v is currently in the network.
 func (s *Simulation) Alive(v NodeID) bool {
@@ -625,30 +608,53 @@ func (s *Simulation) Delete(v NodeID) error {
 		return fmt.Errorf("dist: delete %d: not a live node", v)
 	}
 	defer s.beginBlocking()()
-	s.last = RecoveryStats{Deleted: v, DegreePrime: s.gprime.Degree(v)}
-	s.net.ResetStats()
-	s.pending = append(s.pending, &pendingOp{
-		op: Op{Kind: OpDelete, V: v}, submitRound: s.net.Round(), after: noNode,
-	})
-	s.admit()
-	if err := s.Drain(); err != nil {
+	if _, err := s.drainDeletes([]NodeID{v}); err != nil {
 		return fmt.Errorf("dist: delete %d: %w", v, err)
 	}
-	st := s.net.Stats()
-	s.last.Messages = st.Messages
-	s.last.Rounds = st.Rounds
-	s.last.TotalWords = st.TotalWords
-	s.last.MaxWords = st.MaxWords
-	s.last.MaxSentByNode = st.MaxSentByNode
-	s.last.NsetSize = s.lastFlight.NsetSize
-	s.last.QueuedWords = st.QueuedWords
-	s.last.MaxEdgeBacklog = st.MaxEdgeBacklog
-	s.last.CongestionRounds = st.CongestionRounds
-	s.last.ElectionRounds = st.ElectionRounds
-	s.last.SyncRounds = st.SyncRounds
-	s.last.ElectionMessages = st.ElectionMessages
-	s.last.SyncMessages = st.SyncMessages
 	return nil
+}
+
+// drainDeletes is the body of the blocking deletions: reset the
+// transport's stats, submit the deletions of vs in order, and drain the
+// engine, returning the stats the drain accumulated. A single deletion
+// also records its cost in LastRecovery.
+func (s *Simulation) drainDeletes(vs []NodeID) (transport.Stats, error) {
+	degree := 0
+	if len(vs) == 1 {
+		degree = s.gprime.Degree(vs[0])
+	}
+	s.net.ResetStats()
+	submitRound := s.net.Round()
+	for _, v := range vs {
+		s.pending = append(s.pending, &pendingOp{
+			op: Op{Kind: OpDelete, V: v}, submitRound: submitRound, after: noNode,
+		})
+	}
+	s.admit()
+	if err := s.Drain(); err != nil {
+		return transport.Stats{}, err
+	}
+	st := s.net.Stats()
+	if len(vs) == 1 {
+		s.last = RecoveryStats{
+			Deleted:          vs[0],
+			DegreePrime:      degree,
+			Messages:         st.Messages,
+			Rounds:           st.Rounds,
+			TotalWords:       st.TotalWords,
+			MaxWords:         st.MaxWords,
+			MaxSentByNode:    st.MaxSentByNode,
+			NsetSize:         s.lastFlight.NsetSize,
+			QueuedWords:      st.QueuedWords,
+			MaxEdgeBacklog:   st.MaxEdgeBacklog,
+			CongestionRounds: st.CongestionRounds,
+			ElectionRounds:   st.ElectionRounds,
+			SyncRounds:       st.SyncRounds,
+			ElectionMessages: st.ElectionMessages,
+			SyncMessages:     st.SyncMessages,
+		}
+	}
+	return st, nil
 }
 
 // roundBound is the quiescence bound for one phase: a generous
@@ -691,28 +697,4 @@ func (s *Simulation) step() int {
 		}
 	}
 	return s.net.Pulse().Delivered
-}
-
-// run steps the network to quiescence in the current delivery mode,
-// then folds the processors' pending physical-graph edits into the
-// maintained network. The pulse bound mirrors simnet's historical
-// RunUntilQuiescent contract: on simnet one pulse is one round, and on
-// any transport a pulse delivers at least one pending message or
-// timer, so hitting the bound still means the protocol is broken,
-// never that it is slow.
-func (s *Simulation) run() error {
-	bound := s.roundBound()
-	var err error
-	pulses := 0
-	for !s.netQuiet() {
-		if pulses >= bound {
-			err = fmt.Errorf("dist: not quiescent after %d pulses (%d pending)",
-				pulses, s.net.Pending())
-			break
-		}
-		s.step()
-		pulses++
-	}
-	s.drainPhys()
-	return err
 }

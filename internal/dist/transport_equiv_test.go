@@ -139,9 +139,9 @@ func TestTransportEquivalenceBlocking(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceBatch: DeleteBatch waves — overlapping
-// repairs of independent regions, claim-phase serialization of the
-// rest — interleaved with singleton churn.
+// TestTransportEquivalenceBatch: DeleteBatch bursts — overlapping
+// repairs of independent regions, footprint serialization of the rest
+// — interleaved with singleton churn.
 func TestTransportEquivalenceBatch(t *testing.T) {
 	for _, topo := range equivTopologies {
 		topo := topo

@@ -31,12 +31,6 @@ func init() {
 	wirenet.RegisterPayload(15, msgStripDone{})
 	wirenet.RegisterPayload(16, msgMergeAck{})
 	wirenet.RegisterPayload(17, msgDescriptor{})
-	wirenet.RegisterPayload(18, msgClaimDeath{})
-	wirenet.RegisterPayload(19, msgClaimElect{})
-	wirenet.RegisterPayload(20, msgClaimChamp{})
-	wirenet.RegisterPayload(21, msgClaimCoord{})
-	wirenet.RegisterPayload(22, msgClaimWalk{})
-	wirenet.RegisterPayload(23, msgConflict{})
 	wirenet.RegisterPayload(24, msgCreateHelper{})
 	wirenet.RegisterPayload(25, msgSetParent{})
 	wirenet.RegisterPayload(26, msgAuditProbe{})

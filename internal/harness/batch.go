@@ -11,12 +11,14 @@ import (
 )
 
 // expBatch: the churn-throughput experiment. Deletions arriving in
-// bursts run through dist.Simulation.DeleteBatch, which overlaps the
-// repairs of independent damaged regions; this sweep measures rounds
-// and messages against batch size for the three burst shapes the
-// adversary can produce — vertex-disjoint victims (best case: one
+// bursts run through dist.Simulation.DeleteBatch, which submits them to
+// the open-loop engine and drains it, so footprint admission overlaps
+// the repairs of independent damaged regions; this sweep measures
+// rounds and messages against batch size for the three burst shapes
+// the adversary can produce — vertex-disjoint victims (best case: one
 // wave regardless of k), uniformly random victims, and deliberately
-// colliding clusters (worst case: maximal serialization). The claim
+// colliding clusters (worst case: maximal serialization). Waves is the
+// largest group of members whose pre-batch footprints overlap. The claim
 // under test is the throughput lever itself: rounds per batch must
 // track the serialization depth (waves), not the batch size.
 func expBatch(o Options) []metrics.Table {
